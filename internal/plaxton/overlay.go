@@ -69,6 +69,11 @@ type DeliverFunc func(info RouteInfo, msg wire.Message)
 // node on its way to key. Returning true stops the routing — the hook has
 // handled the message (this is how promiscuous caching answers reads
 // mid-path, §4.5).
+//
+// At the origin (hop 0) the hook sees the value the caller passed to
+// Route. At later hops it sees the payload decoded at that hop, and when
+// the hop is the root the deliver handler receives that same value. The
+// hook must therefore not mutate msg.
 type ForwardHook func(info RouteInfo, msg wire.Message) bool
 
 // Stats counts routing activity.
@@ -77,6 +82,10 @@ type Stats struct {
 	Delivered   uint64 // messages delivered locally
 	HookHandled uint64 // messages consumed by the forward hook
 	JoinsServed uint64
+	// PayloadDecodes counts routed payloads decoded at this node: at most
+	// one per received route hop, none at the origin unless it is also
+	// the root.
+	PayloadDecodes uint64
 }
 
 // Overlay is one overlay node.
@@ -234,7 +243,7 @@ func (o *Overlay) route(key ids.ID, msg wire.Message, trace bool) error {
 		InnerKind: msg.Kind(),
 		Inner:     inner,
 	}
-	o.routeStep(key, o.self, rm)
+	o.routeStep(key, o.self, rm, msg)
 	return nil
 }
 
@@ -255,21 +264,32 @@ func (o *Overlay) handleRoute(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 	if rm.Trace {
 		rm.Path = append(rm.Path, o.self.String())
 	}
-	o.routeStep(key, origin, rm)
+	o.routeStep(key, origin, rm, nil)
 }
 
-// routeStep decides the next hop for rm, or delivers it locally.
-func (o *Overlay) routeStep(key ids.ID, origin ids.ID, rm *RouteMsg) {
+// routeStep decides the next hop for rm, or delivers it locally. held is
+// the origin's own payload value (nil at later hops): the forward hook sees
+// it without a decode. Otherwise the payload is decoded at most once, and
+// that value (or the decode error) is shared by the hook and delivery.
+func (o *Overlay) routeStep(key ids.ID, origin ids.ID, rm *RouteMsg, held wire.Message) {
+	var payload wire.Message
+	var perr error
 	if o.hook != nil {
-		decoded, err := o.decodeInner(rm)
-		if err == nil && o.hook(o.routeInfo(key, origin, rm), decoded) {
+		seen := held
+		if seen == nil {
+			payload, perr = o.decodeInner(rm)
+			seen = payload
+		}
+		if perr == nil && o.hook(o.routeInfo(key, origin, rm), seen) {
 			o.stats.HookHandled++
 			return
 		}
 	}
 	next := o.nextHop(key)
 	if next == o.self {
-		o.deliverLocal(key, origin, rm)
+		// An origin that is its own root still decodes a copy here, so no
+		// deliver handler aliases the caller's value.
+		o.deliverLocal(key, origin, rm, payload, perr)
 		return
 	}
 	o.stats.Forwarded++
@@ -334,6 +354,7 @@ func (o *Overlay) nextHopEx(key ids.ID, exclude ids.ID) ids.ID {
 }
 
 func (o *Overlay) decodeInner(rm *RouteMsg) (wire.Message, error) {
+	o.stats.PayloadDecodes++
 	env, err := o.reg.Decode(rm.Inner)
 	if err != nil {
 		return nil, err
@@ -344,19 +365,24 @@ func (o *Overlay) decodeInner(rm *RouteMsg) (wire.Message, error) {
 	return env.Msg, nil
 }
 
-func (o *Overlay) deliverLocal(key ids.ID, origin ids.ID, rm *RouteMsg) {
+// deliverLocal hands rm's payload to its kind's handler. payload and perr
+// are the result of decoding rm at this hop; both are nil when it has not
+// been decoded yet.
+func (o *Overlay) deliverLocal(key ids.ID, origin ids.ID, rm *RouteMsg, payload wire.Message, perr error) {
 	h, ok := o.handlers[rm.InnerKind]
 	if !ok {
 		o.log.Warn("no deliver handler", "kind", rm.InnerKind)
 		return
 	}
-	decoded, err := o.decodeInner(rm)
-	if err != nil {
-		o.log.Warn("undecodable routed payload", "kind", rm.InnerKind, "err", err)
+	if payload == nil && perr == nil {
+		payload, perr = o.decodeInner(rm)
+	}
+	if perr != nil {
+		o.log.Warn("undecodable routed payload", "kind", rm.InnerKind, "err", perr)
 		return
 	}
 	o.stats.Delivered++
-	h(o.routeInfo(key, origin, rm), decoded)
+	h(o.routeInfo(key, origin, rm), payload)
 }
 
 // --- state learning -----------------------------------------------------------

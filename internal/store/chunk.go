@@ -34,6 +34,17 @@ func hash64(b []byte) uint64 {
 	return h
 }
 
+// blob is a held object body with its hash64. The hash is set once, when
+// the bytes are stored, so chunked sends and repair digests never re-hash
+// bytes this node already holds.
+type blob struct {
+	data []byte
+	hash uint64
+}
+
+// hashed wraps bytes whose hash is not yet known.
+func hashed(data []byte) blob { return blob{data: data, hash: hash64(data)} }
+
 // reassembly is the pure chunk-reassembly state machine: fixed-size
 // chunks copied into a preallocated buffer, tracked by a per-chunk
 // bitmap. Pure so the fuzzer can drive it directly against hostile
@@ -130,9 +141,10 @@ func (s *Store) chunkBytes() int {
 	return s.opts.ChunkBytes
 }
 
-// sendChunked streams data to a peer as manifest + chunk frames.
-func (s *Store) sendChunked(to ids.ID, purpose int, guid ids.ID, data []byte, reqID uint64, hops int, fromCache, pin bool) {
+// sendChunked streams b to a peer as manifest + chunk frames.
+func (s *Store) sendChunked(to ids.ID, purpose int, guid ids.ID, b blob, reqID uint64, hops int, fromCache, pin bool) {
 	chunk := s.chunkBytes()
+	data := b.data
 	s.nextXfer++
 	s.ep.Send(to, &ManifestMsg{
 		Xfer:      s.nextXfer,
@@ -140,7 +152,7 @@ func (s *Store) sendChunked(to ids.ID, purpose int, guid ids.ID, data []byte, re
 		Purpose:   purpose,
 		TotalLen:  len(data),
 		Chunk:     chunk,
-		Hash:      hash64(data),
+		Hash:      b.hash,
 		ReqID:     reqID,
 		Hops:      hops,
 		FromCache: fromCache,
@@ -158,31 +170,32 @@ func (s *Store) sendChunked(to ids.ID, purpose int, guid ids.ID, data []byte, re
 
 // sendObject delivers a replica or cache fill, chunked when the body
 // exceeds the threshold.
-func (s *Store) sendObject(to ids.ID, purpose int, guid ids.ID, data []byte) {
-	s.sendObjectPinned(to, purpose, guid, data, false)
+func (s *Store) sendObject(to ids.ID, purpose int, guid ids.ID, b blob) {
+	s.sendObjectPinned(to, purpose, guid, b, false)
 }
 
-func (s *Store) sendObjectPinned(to ids.ID, purpose int, guid ids.ID, data []byte, pin bool) {
-	if cb := s.chunkBytes(); cb > 0 && len(data) > cb {
-		s.sendChunked(to, purpose, guid, data, 0, 0, false, pin)
+func (s *Store) sendObjectPinned(to ids.ID, purpose int, guid ids.ID, b blob, pin bool) {
+	if cb := s.chunkBytes(); cb > 0 && len(b.data) > cb {
+		s.sendChunked(to, purpose, guid, b, 0, 0, false, pin)
 		return
 	}
 	switch purpose {
 	case xferReplicate:
-		s.ep.Send(to, &ReplicateMsg{GUID: guid.String(), Pin: pin, Data: data})
+		s.ep.Send(to, &ReplicateMsg{GUID: guid.String(), Pin: pin, Data: b.data})
 	case xferCacheFill:
-		s.ep.Send(to, &CacheFillMsg{GUID: guid.String(), Data: data})
+		s.ep.Send(to, &CacheFillMsg{GUID: guid.String(), Data: b.data})
 	}
 }
 
-// sendGetReply answers a remote get, chunking large found bodies.
-func (s *Store) sendGetReply(to ids.ID, reply *GetReplyMsg) {
+// sendGetReply answers a remote get, chunking large found bodies. hash is
+// the held hash of reply.Data.
+func (s *Store) sendGetReply(to ids.ID, reply *GetReplyMsg, hash uint64) {
 	if cb := s.chunkBytes(); reply.Found && cb > 0 && len(reply.Data) > cb {
 		guid, err := ids.Parse(reply.GUID)
 		if err != nil {
 			return
 		}
-		s.sendChunked(to, xferGetReply, guid, reply.Data, reply.ReqID, reply.Hops, reply.FromCache, false)
+		s.sendChunked(to, xferGetReply, guid, blob{data: reply.Data, hash: hash}, reply.ReqID, reply.Hops, reply.FromCache, false)
 		return
 	}
 	s.ep.Send(to, reply)
@@ -294,21 +307,23 @@ func (s *Store) applyChunk(key xferKey, from ids.ID, cm *ChunkMsg) {
 }
 
 // completeXfer dispatches a fully reassembled body to its purpose.
+// The body's hash is the manifest's, which reassembly has just verified.
 func (s *Store) completeXfer(from ids.ID, x *xfer) {
+	b := blob{data: x.ra.buf, hash: x.ra.hash}
 	switch x.purpose {
 	case xferReplicate:
-		s.setObject(x.guid, x.ra.buf)
+		s.setObject(x.guid, b)
 		if x.pin {
 			s.pinned[x.guid] = true
 		}
 	case xferCacheFill:
 		if !s.opts.DisableCache {
-			s.cache.put(x.guid, x.ra.buf)
+			s.cache.put(x.guid, b)
 		}
 	case xferGetReply:
-		s.completeGet(x.reqID, true, x.guid.String(), x.ra.buf)
+		s.completeGet(x.reqID, true, x.guid.String(), b)
 	case xferPut:
-		s.storeAndReplicate(x.guid, x.ra.buf)
+		s.storeAndReplicate(x.guid, b)
 		s.ep.Send(from, &AckMsg{ReqID: x.reqID, OK: true})
 	}
 }
@@ -317,7 +332,7 @@ func (s *Store) completeXfer(from ids.ID, x *xfer) {
 func (s *Store) handlePull(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 	pm := msg.(*PullMsg)
 	p, ok := s.pendingPuts[pm.ReqID]
-	if !ok || p.content == nil {
+	if !ok || p.content.data == nil {
 		return // put already timed out (or bogus pull): nothing to stream
 	}
 	guid, err := ids.Parse(pm.GUID)

@@ -41,8 +41,8 @@ func (s *Store) repair() {
 	}
 	if s.opts.LegacyReplication {
 		for _, guid := range guids {
-			if data, ok := s.objects[guid]; ok && s.isRoot(guid) {
-				s.replicate(guid, data)
+			if b, ok := s.objects[guid]; ok && s.isRoot(guid) {
+				s.replicate(guid, b)
 			}
 		}
 		return
@@ -112,11 +112,11 @@ func (s *Store) handleDigestReq(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 	rq := msg.(*DigestReqMsg)
 	reply := &DigestMsg{Round: rq.Round}
 	for _, guid := range s.sortedGUIDs() {
-		data := s.objects[guid]
+		b := s.objects[guid]
 		reply.Entries = append(reply.Entries, DigestEntry{
 			GUID: guid.String(),
-			Len:  len(data),
-			Hash: hash64(data),
+			Len:  len(b.data),
+			Hash: b.hash,
 		})
 	}
 	s.ep.Send(from, reply)
@@ -139,27 +139,27 @@ func (s *Store) handleDigest(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 		held[e.GUID] = e
 	}
 	for _, guid := range want {
-		data, ok := s.objects[guid]
+		b, ok := s.objects[guid]
 		if !ok || !s.isRoot(guid) {
 			continue // dropped or re-rooted since the round opened
 		}
-		if e, ok := held[guid.String()]; ok && e.Len == len(data) && e.Hash == hash64(data) {
+		if e, ok := held[guid.String()]; ok && e.Len == len(b.data) && e.Hash == b.hash {
 			s.stats.RepairSkipped++
 			continue
 		}
-		s.pushReplica(from, guid, data)
+		s.pushReplica(from, guid, b)
 	}
 }
 
 // pushReplica sends one replica copy (chunked when large) and accounts it.
-func (s *Store) pushReplica(to ids.ID, guid ids.ID, data []byte) {
-	s.pushReplicaPinned(to, guid, data, false)
+func (s *Store) pushReplica(to ids.ID, guid ids.ID, b blob) {
+	s.pushReplicaPinned(to, guid, b, false)
 }
 
-func (s *Store) pushReplicaPinned(to ids.ID, guid ids.ID, data []byte, pin bool) {
+func (s *Store) pushReplicaPinned(to ids.ID, guid ids.ID, b blob, pin bool) {
 	s.stats.RepairPushes++
-	s.stats.RepairBytes += uint64(len(data))
-	s.sendObjectPinned(to, xferReplicate, guid, data, pin)
+	s.stats.RepairBytes += uint64(len(b.data))
+	s.sendObjectPinned(to, xferReplicate, guid, b, pin)
 }
 
 // --- erasure-coded reconstruction ------------------------------------------
@@ -180,11 +180,11 @@ type statProbe struct {
 // fragment starts checking its own successor.
 func (s *Store) fragCheck() {
 	for _, guid := range s.sortedGUIDs() {
-		data, ok := s.objects[guid]
+		b, ok := s.objects[guid]
 		if !ok || !s.isRoot(guid) {
 			continue
 		}
-		f, meta, err := unpackFragment(data)
+		f, meta, err := unpackFragment(b.data)
 		if err != nil {
 			continue // not a coded fragment
 		}
@@ -233,8 +233,8 @@ func (s *Store) deliverStat(info plaxton.RouteInfo, msg wire.Message) {
 	if err != nil {
 		return
 	}
-	data, ok := s.objects[guid]
-	reply := &StatReplyMsg{ReqID: sm.ReqID, Found: ok, Len: len(data)}
+	b, ok := s.objects[guid]
+	reply := &StatReplyMsg{ReqID: sm.ReqID, Found: ok, Len: len(b.data)}
 	if info.Origin == s.ep.ID() {
 		s.handleStatReply(nil, s.ep.ID(), reply)
 		return
@@ -353,7 +353,7 @@ func (s *Store) rebuildFragment(p *statProbe, frags []erasure.Fragment) {
 		// fragment straight to it (one hop, O(fragment) traffic) instead
 		// of routing a put through the overlay. Loss is safe — the next
 		// repair round re-probes and re-pushes.
-		s.pushReplica(p.root, p.missing, packed)
+		s.pushReplica(p.root, p.missing, hashed(packed))
 		delete(s.fragBusy, p.missing)
 		return
 	}

@@ -17,8 +17,8 @@ type lruCache struct {
 }
 
 type lruItem struct {
-	key  ids.ID
-	data []byte
+	key ids.ID
+	blob
 }
 
 func newLRU(capBytes int64) *lruCache {
@@ -30,30 +30,30 @@ func newLRU(capBytes int64) *lruCache {
 }
 
 // get returns the cached copy and refreshes its recency.
-func (c *lruCache) get(key ids.ID) ([]byte, bool) {
+func (c *lruCache) get(key ids.ID) (blob, bool) {
 	el, ok := c.items[key]
 	if !ok {
-		return nil, false
+		return blob{}, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*lruItem).data, true
+	return el.Value.(*lruItem).blob, true
 }
 
 // put inserts or refreshes a copy, evicting LRU entries to fit. Objects
 // larger than the whole budget are not cached.
-func (c *lruCache) put(key ids.ID, data []byte) {
-	if int64(len(data)) > c.capBytes {
+func (c *lruCache) put(key ids.ID, b blob) {
+	if int64(len(b.data)) > c.capBytes {
 		return
 	}
 	if el, ok := c.items[key]; ok {
 		it := el.Value.(*lruItem)
-		c.usedBytes += int64(len(data)) - int64(len(it.data))
-		it.data = data
+		c.usedBytes += int64(len(b.data)) - int64(len(it.data))
+		it.blob = b
 		c.ll.MoveToFront(el)
 	} else {
-		el := c.ll.PushFront(&lruItem{key: key, data: data})
+		el := c.ll.PushFront(&lruItem{key: key, blob: b})
 		c.items[key] = el
-		c.usedBytes += int64(len(data))
+		c.usedBytes += int64(len(b.data))
 	}
 	for c.usedBytes > c.capBytes {
 		c.evictOldest()

@@ -140,7 +140,7 @@ type pendingPut struct {
 	timer interface{ Stop() bool }
 	// content pins a large put's body at the origin until the root pulls
 	// it (or the put times out).
-	content []byte
+	content blob
 }
 
 type pendingGet struct {
@@ -157,8 +157,8 @@ type Store struct {
 	opts    Options
 	code    *erasure.Code
 
-	objects     map[ids.ID][]byte
-	storedBytes int64 // incremental sum of len(objects[*]), kept by setObject/dropObject
+	objects     map[ids.ID]blob
+	storedBytes int64 // incremental sum of len(objects[*].data), kept by setObject/dropObject
 	// pinned marks policy-placed copies (deliverPush) that replica GC
 	// must leave alone even though this node is outside the k-closest
 	// range for them.
@@ -199,7 +199,7 @@ func New(ep netapi.Endpoint, overlay *plaxton.Overlay, opts Options) *Store {
 		overlay:      overlay,
 		opts:         opts,
 		code:         code,
-		objects:      make(map[ids.ID][]byte),
+		objects:      make(map[ids.ID]blob),
 		pinned:       make(map[ids.ID]bool),
 		cache:        newLRU(opts.CacheBytes),
 		pendingPuts:  make(map[uint64]*pendingPut),
@@ -263,18 +263,18 @@ func (s *Store) Stats() Stats {
 
 // setObject stores or overwrites a primary/replica copy, keeping the
 // incremental occupancy counters exact.
-func (s *Store) setObject(guid ids.ID, data []byte) {
+func (s *Store) setObject(guid ids.ID, b blob) {
 	if old, ok := s.objects[guid]; ok {
-		s.storedBytes -= int64(len(old))
+		s.storedBytes -= int64(len(old.data))
 	}
-	s.objects[guid] = data
-	s.storedBytes += int64(len(data))
+	s.objects[guid] = b
+	s.storedBytes += int64(len(b.data))
 }
 
 // dropObject removes a stored copy, keeping the occupancy counters exact.
 func (s *Store) dropObject(guid ids.ID) {
 	if old, ok := s.objects[guid]; ok {
-		s.storedBytes -= int64(len(old))
+		s.storedBytes -= int64(len(old.data))
 		delete(s.objects, guid)
 		delete(s.pinned, guid)
 	}
@@ -314,7 +314,7 @@ func (s *Store) PutAs(guid ids.ID, content []byte, cb func(error)) {
 	big := false
 	if cbytes := s.chunkBytes(); cbytes > 0 && len(content) > cbytes {
 		big = true
-		p.content = content
+		p.content = hashed(content)
 	}
 	p.timer = s.ep.Clock().After(s.opts.RequestTimeout, func() {
 		if _, ok := s.pendingPuts[req]; ok {
@@ -341,15 +341,15 @@ func (s *Store) PutAs(guid ids.ID, content []byte, cb func(error)) {
 func (s *Store) Get(guid ids.ID, cb func([]byte, error)) {
 	s.stats.Gets++
 	// Local copies answer immediately (the cheapest promiscuous hit).
-	if data, ok := s.objects[guid]; ok {
+	if b, ok := s.objects[guid]; ok {
 		s.stats.LocalHits++
-		cb(data, nil)
+		cb(b.data, nil)
 		return
 	}
 	if !s.opts.DisableCache {
-		if data, ok := s.cache.get(guid); ok {
+		if b, ok := s.cache.get(guid); ok {
 			s.stats.LocalHits++
-			cb(data, nil)
+			cb(b.data, nil)
 			return
 		}
 	}
@@ -548,7 +548,7 @@ func (s *Store) deliverPut(_ plaxton.RouteInfo, msg wire.Message) {
 		// sent when reassembly completes.
 		if origin == s.ep.ID() {
 			// We are both origin and root: the body is pinned locally.
-			if p, ok := s.pendingPuts[pm.ReqID]; ok && p.content != nil {
+			if p, ok := s.pendingPuts[pm.ReqID]; ok && p.content.data != nil {
 				s.storeAndReplicate(guid, p.content)
 				s.handleAck(nil, s.ep.ID(), &AckMsg{ReqID: pm.ReqID, OK: true})
 			}
@@ -557,7 +557,7 @@ func (s *Store) deliverPut(_ plaxton.RouteInfo, msg wire.Message) {
 		s.ep.Send(origin, &PullMsg{GUID: pm.GUID, ReqID: pm.ReqID})
 		return
 	}
-	s.storeAndReplicate(guid, pm.Data)
+	s.storeAndReplicate(guid, hashed(pm.Data))
 	if origin == s.ep.ID() {
 		s.handleAck(nil, s.ep.ID(), &AckMsg{ReqID: pm.ReqID, OK: true})
 		return
@@ -566,15 +566,15 @@ func (s *Store) deliverPut(_ plaxton.RouteInfo, msg wire.Message) {
 }
 
 // storeAndReplicate is the root's store step for a completed put.
-func (s *Store) storeAndReplicate(guid ids.ID, data []byte) {
-	s.setObject(guid, data)
-	s.replicate(guid, data)
+func (s *Store) storeAndReplicate(guid ids.ID, b blob) {
+	s.setObject(guid, b)
+	s.replicate(guid, b)
 }
 
 // replicate pushes copies to the k-1 leaf-set nodes closest to guid.
-func (s *Store) replicate(guid ids.ID, data []byte) {
+func (s *Store) replicate(guid ids.ID, b blob) {
 	for _, n := range s.replicaTargets(guid) {
-		s.pushReplica(n, guid, data)
+		s.pushReplica(n, guid, b)
 	}
 }
 
@@ -610,13 +610,13 @@ func (s *Store) deliverPush(_ plaxton.RouteInfo, msg wire.Message) {
 	if err != nil {
 		return
 	}
-	data, ok := s.objects[guid]
+	b, ok := s.objects[guid]
 	if !ok {
 		return
 	}
 	// Pinned: the policy chose this target deliberately; replica GC must
 	// not reclaim the copy for being outside the k-closest range.
-	s.pushReplicaPinned(target, guid, data, true)
+	s.pushReplicaPinned(target, guid, b, true)
 }
 
 // deliverGet runs at the object's root (if no path copy answered first).
@@ -627,17 +627,17 @@ func (s *Store) deliverGet(info plaxton.RouteInfo, msg wire.Message) {
 		return
 	}
 	reply := &GetReplyMsg{ReqID: gm.ReqID, GUID: gm.GUID, Hops: info.Hops}
-	data, ok := s.objects[guid]
+	b, ok := s.objects[guid]
 	if !ok && !s.opts.DisableCache {
-		data, ok = s.cache.get(guid)
+		b, ok = s.cache.get(guid)
 	}
 	if ok {
 		reply.Found = true
-		reply.Data = data
+		reply.Data = b.data
 		s.stats.RootAnswers++
 		// Promiscuous caching along the lookup path: seed the node just
 		// before the root (PAST's scheme).
-		s.cacheFillPath(info.Path, guid, data)
+		s.cacheFillPath(info.Path, guid, b)
 	} else {
 		s.stats.NotFound++
 	}
@@ -645,11 +645,11 @@ func (s *Store) deliverGet(info plaxton.RouteInfo, msg wire.Message) {
 		s.handleGetReply(nil, s.ep.ID(), reply)
 		return
 	}
-	s.sendGetReply(info.Origin, reply)
+	s.sendGetReply(info.Origin, reply, b.hash)
 }
 
 // cacheFillPath seeds the last traversed node's cache.
-func (s *Store) cacheFillPath(path []ids.ID, guid ids.ID, data []byte) {
+func (s *Store) cacheFillPath(path []ids.ID, guid ids.ID, b blob) {
 	if s.opts.DisableCache || len(path) == 0 {
 		return
 	}
@@ -661,7 +661,7 @@ func (s *Store) cacheFillPath(path []ids.ID, guid ids.ID, data []byte) {
 		last = path[len(path)-2]
 	}
 	s.stats.CacheFills++
-	s.sendObject(last, xferCacheFill, guid, data)
+	s.sendObject(last, xferCacheFill, guid, b)
 }
 
 // forwardHook answers gets mid-path from replicas or the promiscuous cache.
@@ -681,20 +681,20 @@ func (s *Store) forwardHook(info plaxton.RouteInfo, msg wire.Message) bool {
 		return false // let normal delivery answer (counted as RootAnswers)
 	}
 	reply := &GetReplyMsg{ReqID: gm.ReqID, GUID: gm.GUID, Hops: info.Hops}
-	if data, have := s.objects[guid]; have {
+	if b, have := s.objects[guid]; have {
 		s.stats.ReplicaHits++
 		reply.Found = true
-		reply.Data = data
-		s.sendGetReply(info.Origin, reply)
+		reply.Data = b.data
+		s.sendGetReply(info.Origin, reply, b.hash)
 		return true
 	}
 	if !s.opts.DisableCache {
-		if data, have := s.cache.get(guid); have {
+		if b, have := s.cache.get(guid); have {
 			s.stats.CacheHits++
 			reply.Found = true
 			reply.FromCache = true
-			reply.Data = data
-			s.sendGetReply(info.Origin, reply)
+			reply.Data = b.data
+			s.sendGetReply(info.Origin, reply, b.hash)
 			return true
 		}
 	}
@@ -718,12 +718,12 @@ func (s *Store) handleAck(_ netapi.Ctx, _ ids.ID, msg wire.Message) {
 
 func (s *Store) handleGetReply(_ netapi.Ctx, _ ids.ID, msg wire.Message) {
 	rm := msg.(*GetReplyMsg)
-	s.completeGet(rm.ReqID, rm.Found, rm.GUID, rm.Data)
+	s.completeGet(rm.ReqID, rm.Found, rm.GUID, hashed(rm.Data))
 }
 
 // completeGet resolves a pending get — from a whole-frame reply or a
 // reassembled chunked transfer.
-func (s *Store) completeGet(reqID uint64, found bool, guidStr string, data []byte) {
+func (s *Store) completeGet(reqID uint64, found bool, guidStr string, b blob) {
 	g, ok := s.pendingGets[reqID]
 	if !ok {
 		return
@@ -736,9 +736,9 @@ func (s *Store) completeGet(reqID uint64, found bool, guidStr string, data []byt
 	}
 	// Promiscuous caching at the reader.
 	if !s.opts.DisableCache {
-		s.cache.put(g.guid, data)
+		s.cache.put(g.guid, b)
 	}
-	g.cb(data, nil)
+	g.cb(b.data, nil)
 }
 
 func (s *Store) handleReplicate(_ netapi.Ctx, _ ids.ID, msg wire.Message) {
@@ -747,7 +747,7 @@ func (s *Store) handleReplicate(_ netapi.Ctx, _ ids.ID, msg wire.Message) {
 	if err != nil {
 		return
 	}
-	s.setObject(guid, rm.Data)
+	s.setObject(guid, hashed(rm.Data))
 	if rm.Pin {
 		s.pinned[guid] = true
 	}
@@ -760,7 +760,7 @@ func (s *Store) handleCacheFill(_ netapi.Ctx, _ ids.ID, msg wire.Message) {
 		return
 	}
 	if !s.opts.DisableCache {
-		s.cache.put(guid, cm.Data)
+		s.cache.put(guid, hashed(cm.Data))
 	}
 }
 

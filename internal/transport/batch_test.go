@@ -30,6 +30,33 @@ func sendBurst(t *testing.T, a *Node, to ids.ID, n int, received *atomic.Uint64,
 	}
 }
 
+// settledStats polls a's Stats until its write loop has counted every
+// flush. Sent is counted when a frame is queued but FlushWrites and
+// BatchedFrames only after the write returns, so the receiver can see
+// every frame before the sender counts its last flush. Stats are settled
+// once the written frames (FlushWrites+BatchedFrames) have caught up with
+// Sent, or once neither side has moved for 250ms; the poll gives up
+// after 5s.
+func settledStats(t *testing.T, a *Node) Stats {
+	t.Helper()
+	const quiet = 250 * time.Millisecond
+	deadline := time.Now().Add(5 * time.Second)
+	st := a.Stats()
+	since := time.Now()
+	for st.FlushWrites+st.BatchedFrames != st.Sent && time.Since(since) < quiet {
+		if time.Now().After(deadline) {
+			t.Fatalf("stats still moving after 5s: %+v", st)
+		}
+		time.Sleep(time.Millisecond)
+		next := a.Stats()
+		if next.FlushWrites != st.FlushWrites || next.BatchedFrames != st.BatchedFrames || next.Sent != st.Sent {
+			since = time.Now()
+		}
+		st = next
+	}
+	return st
+}
+
 // TestWriteBatchingCoalesces: frames queued behind a slow link startup
 // ride one writev; at fan-out (burst) ≥ 8 the connection sees at least
 // 2x fewer writes than frames, every frame still arrives intact, and the
@@ -47,7 +74,7 @@ func TestWriteBatchingCoalesces(t *testing.T) {
 	// write loop's first drain sees the whole backlog.
 	sendBurst(t, a, b.ID(), burst, &received, burst)
 
-	st := a.Stats()
+	st := settledStats(t, a)
 	if st.Sent != burst {
 		t.Fatalf("Sent = %d, want %d", st.Sent, burst)
 	}
@@ -80,7 +107,7 @@ func TestDisableBatchingReference(t *testing.T) {
 	const burst = 16
 	sendBurst(t, a, b.ID(), burst, &received, burst)
 
-	st := a.Stats()
+	st := settledStats(t, a)
 	if st.FlushWrites != st.Sent {
 		t.Fatalf("reference path flushed %d for %d frames, want one write per frame", st.FlushWrites, st.Sent)
 	}
